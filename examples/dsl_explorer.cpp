@@ -4,8 +4,8 @@
 //   $ ./dsl_explorer                                  # built-in demo
 //   $ ./dsl_explorer --program="SORT | REVERSE | HEAD" --input=5,3,8
 //   $ ./dsl_explorer --list-functions [--domain=str]
-//   $ ./dsl_explorer --domain=str --program="STR.TITLE | STR.INITIALS" \
-//                    --text="ada lovelace"
+//   $ ./dsl_explorer --domain=str --text="ada lovelace"
+//                    --program="STR.TITLE | STR.INITIALS"
 #include <cstdio>
 #include <exception>
 #include <sstream>

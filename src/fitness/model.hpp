@@ -51,6 +51,21 @@ struct EncodedTrace {
 
 enum class HeadKind : std::uint8_t { Classifier, Multilabel, Regression };
 
+/// One row of a training minibatch: `candidate` and its per-example traces
+/// (as in NnffModel::forward) graded against `spec`. The IO-only model
+/// reads the spec alone and ignores the other two.
+struct TrainRow {
+  const dsl::Spec* spec = nullptr;
+  const dsl::Program* candidate = nullptr;
+  const std::vector<std::vector<dsl::Value>>* traces = nullptr;
+};
+
+/// Activations of one training minibatch (defined in model_train.cpp).
+struct TrainTape;
+struct TrainTapeDeleter {
+  void operator()(TrainTape* tape) const;
+};
+
 struct NnffConfig {
   EncoderConfig encoder;
   std::size_t embedDim = 16;
@@ -92,14 +107,32 @@ class NnffModel {
   /// (kNumFunctions for the list domain).
   std::size_t funcVocabSize() const;
 
-  /// Full forward pass: logits (1 x outDim). `traces[i]` is the execution
-  /// trace of `candidate` on spec example i (traces[i].size() ==
+  /// Autograd forward pass: logits (1 x outDim). `traces[i]` is the
+  /// execution trace of `candidate` on spec example i (traces[i].size() ==
   /// candidate.length()). Only the first maxExamples examples are consumed.
+  /// This is the reference definition of the model: tests use it as the
+  /// forward oracle of the fast paths and, through nn::backward, as the
+  /// gradient oracle of trainForward/trainBackward. No production path
+  /// builds it.
   nn::Var forward(const dsl::Spec& spec, const dsl::Program& candidate,
                   const std::vector<std::vector<dsl::Value>>& traces) const;
 
-  /// IO-only forward (FP model): logits (1 x outDim).
+  /// IO-only autograd forward (FP model): logits (1 x outDim). Test oracle,
+  /// like forward().
   nn::Var forwardIOOnly(const dsl::Spec& spec) const;
+
+  /// Tape-free training pass over a minibatch, piece for piece the math of
+  /// forward()/forwardIOOnly(). trainForward runs every sequence of the
+  /// batch (each example's tokens, each trace value, each program) as
+  /// masked B x H LSTM batches on the inference kernels, records the
+  /// activations into an arena sized to one minibatch, and returns the
+  /// rows' logits (rows.size() x outDim, row-major). trainBackward takes
+  /// d(loss)/d(logits) in the same layout and accumulates the parameter
+  /// gradients into params()' gradient buffers. A training pass clears the
+  /// fast paths' trace-encoding memo, whose entries depend on the weights.
+  /// Not thread-safe; one model trains on one thread.
+  const std::vector<float>& trainForward(const std::vector<TrainRow>& rows);
+  void trainBackward(const float* dlogits);
 
   /// Allocation-free forward passes producing raw logits. Numerically
   /// identical to forward()/forwardIOOnly() (asserted by tests) but ~3-4x
@@ -269,6 +302,8 @@ class NnffModel {
   std::unique_ptr<nn::Linear> fc1_;
   std::unique_ptr<nn::Linear> fc2_;
   mutable nn::InferenceScratch scratch_;  ///< fast-path buffers
+  /// Training-pass arena, allocated by the first trainForward.
+  std::unique_ptr<TrainTape, TrainTapeDeleter> train_;
   /// Trace-value encoding memo for the batched path, keyed by a 64-bit
   /// FNV-1a fingerprint of the value (GA populations re-produce the same
   /// intermediate values across genes and generations). The fingerprint

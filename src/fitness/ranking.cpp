@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "nn/optim.hpp"
+#include "nn/training.hpp"
 
 namespace netsyn::fitness {
 
@@ -20,6 +21,9 @@ std::vector<RankEpochStats> RankTrainer::train(
   std::vector<std::size_t> order(trainSet.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  std::vector<TrainRow> rows;
+  std::vector<float> dscores;
+
   std::vector<RankEpochStats> history;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     shuffler.shuffle(order);
@@ -28,20 +32,32 @@ std::vector<RankEpochStats> RankTrainer::train(
          start += config_.batchSize) {
       const std::size_t end =
           std::min(order.size(), start + config_.batchSize);
-      model.params().zeroGrad();
-      nn::Var batchLoss;
+      const std::size_t n = end - start;
+      const float scale = 1.0f / static_cast<float>(n);
+      // One training pass scores both sides: rows [0, n) are the a's,
+      // rows [n, 2n) the b's.
+      rows.clear();
       for (std::size_t i = start; i < end; ++i) {
         const PairSample& p = trainSet[order[i]];
-        const nn::Var sa = model.forward(p.spec, p.a, p.tracesA);
-        const nn::Var sb = model.forward(p.spec, p.b, p.tracesB);
-        const nn::Matrix label(1, 1,
-                               p.metricA > p.metricB ? 1.0f : 0.0f);
-        const nn::Var loss = nn::bceWithLogits(nn::sub(sa, sb), label);
-        epochLoss += loss->scalar();
-        batchLoss = batchLoss ? nn::add(batchLoss, loss) : loss;
+        rows.push_back({&p.spec, &p.a, &p.tracesA});
       }
-      nn::backward(
-          nn::scale(batchLoss, 1.0f / static_cast<float>(end - start)));
+      for (std::size_t i = start; i < end; ++i) {
+        const PairSample& p = trainSet[order[i]];
+        rows.push_back({&p.spec, &p.b, &p.tracesB});
+      }
+      model.params().zeroGrad();
+      const std::vector<float>& scores = model.trainForward(rows);
+      dscores.resize(2 * n);
+      for (std::size_t r = 0; r < n; ++r) {
+        const PairSample& p = trainSet[order[start + r]];
+        const float margin = scores[r] - scores[n + r];
+        const float label = p.metricA > p.metricB ? 1.0f : 0.0f;
+        float dMargin = 0.0f;
+        epochLoss += nn::bceWithLogitsRow(&margin, &label, 1, scale, &dMargin);
+        dscores[r] = dMargin;
+        dscores[n + r] = -dMargin;
+      }
+      model.trainBackward(dscores.data());
       if (config_.gradClip > 0.0f)
         model.params().clipGradNorm(config_.gradClip);
       opt.step();

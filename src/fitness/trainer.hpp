@@ -8,6 +8,10 @@
 //                 ablation).
 // Evaluation produces the artifacts of Figure 7: confusion matrices for the
 // classifiers and thresholded per-function accuracy for the FP model.
+//
+// Training runs on NnffModel's tape-free minibatch pass (trainForward /
+// trainBackward) and validation on the inference fast path; neither builds
+// an autograd graph.
 #pragma once
 
 #include <functional>
@@ -59,11 +63,15 @@ class Trainer {
   /// classifier range.
   std::size_t classLabel(const NnffModel& model, const Sample& sample) const;
 
-  /// Loss of one sample under the model's head (builds a graph when not in
-  /// inference mode).
-  nn::Var sampleLoss(const NnffModel& model, const Sample& sample) const;
+  /// Loss of one sample under the model's head, given the sample's logits
+  /// (outDim floats). When `dlogits` is non-null it receives
+  /// scale * d(loss)/d(logits).
+  float sampleLoss(const NnffModel& model, const Sample& sample,
+                   const float* logits, float scale = 1.0f,
+                   float* dlogits = nullptr) const;
 
-  /// Mean loss + accuracy on a dataset (inference mode).
+  /// Mean loss + accuracy on a dataset: one fast-path forward per sample,
+  /// both numbers read from the same logits.
   std::pair<double, double> evaluate(const NnffModel& model,
                                      const std::vector<Sample>& set) const;
 
@@ -84,6 +92,9 @@ class Trainer {
                        const std::vector<Sample>& set) const;
 
  private:
+  /// Regression target of `sample`: its raw metric value.
+  float regressionLabel(const Sample& sample) const;
+
   TrainConfig config_;
 };
 

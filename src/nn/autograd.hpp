@@ -1,10 +1,15 @@
-// Reverse-mode automatic differentiation over Matrix values.
+// Reverse-mode automatic differentiation over Matrix values: the gradient
+// oracle for tests.
 //
 // A tiny tape: every operation builds a `Node` holding its value, its parent
 // nodes, and a closure that scatters the node's output gradient into its
-// parents. `backward(root)` runs a topological sweep. This is the substrate
-// on which the LSTM fitness models of the paper (Figure 2) are built; it
-// replaces the TensorFlow dependency of the original implementation.
+// parents. `backward(root)` runs a topological sweep. The layers in
+// layers.hpp and NnffModel::forward define the paper's fitness models
+// (Figure 2) in these ops, and that definition is the reference the fast
+// kernels are tested against: training runs on the tape-free kernels of
+// training.hpp, and tests/test_fused_training.cpp checks their gradients
+// against `backward` here. `Node` and `ParamStore` also hold the parameter
+// values and gradient buffers every path shares.
 //
 // Conventions:
 //  - Activations are row vectors (1 x n); parameters are (in x out).

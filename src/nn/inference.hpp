@@ -4,8 +4,9 @@
 // (up to millions of times per synthesis run at paper scale); building an
 // autograd graph for those forward-only passes wastes most of the time in
 // allocation. These kernels run the same math over raw float buffers held in
-// a reusable `InferenceScratch`. Training keeps using the autograd path; a
-// regression test asserts both paths agree to float precision.
+// a reusable `InferenceScratch`. Training runs on the same kernels
+// (training.hpp); tests assert both agree with the autograd oracle to float
+// precision.
 #pragma once
 
 #include <cstddef>

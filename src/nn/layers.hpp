@@ -29,6 +29,9 @@ class Embedding {
 
   /// Raw table for the allocation-free inference path (nn/inference.hpp).
   const Matrix& table() const { return table_->value(); }
+  /// Its gradient buffer in the ParamStore, for the training kernels
+  /// (nn/training.hpp).
+  Matrix& tableGrad() { return table_->grad(); }
 
  private:
   std::size_t vocab_;
@@ -48,6 +51,9 @@ class Linear {
   /// Raw parameters for the allocation-free inference path.
   const Matrix& weight() const { return w_->value(); }
   const Matrix& bias() const { return b_->value(); }
+  /// Their gradient buffers, for the training kernels.
+  Matrix& weightGrad() { return w_->grad(); }
+  Matrix& biasGrad() { return b_->grad(); }
 
  private:
   std::size_t in_;
@@ -91,6 +97,10 @@ class Lstm {
   const Matrix& weightX() const { return wx_->value(); }
   const Matrix& weightH() const { return wh_->value(); }
   const Matrix& biasRaw() const { return b_->value(); }
+  /// Their gradient buffers, for the training kernels.
+  Matrix& weightXGrad() { return wx_->grad(); }
+  Matrix& weightHGrad() { return wh_->grad(); }
+  Matrix& biasGrad() { return b_->grad(); }
 
  private:
   std::size_t in_;

@@ -62,6 +62,9 @@ void loadParams(ParamStore& store, const std::string& path) {
            static_cast<std::streamsize>(p->value().size() * sizeof(float)));
     if (!f) throw std::runtime_error("loadParams: truncated file " + path);
   }
+  if (f.peek() != std::ifstream::traits_type::eof())
+    throw std::runtime_error("loadParams: trailing bytes after the last "
+                             "tensor in " + path);
 }
 
 }  // namespace netsyn::nn

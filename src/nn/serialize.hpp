@@ -16,7 +16,8 @@ namespace netsyn::nn {
 void saveParams(const ParamStore& store, const std::string& path);
 
 /// Loads parameters into `store` (shapes must match exactly).
-/// Throws std::runtime_error on I/O error or shape/format mismatch.
+/// Throws std::runtime_error on I/O error, shape/format mismatch, or bytes
+/// after the last tensor.
 void loadParams(ParamStore& store, const std::string& path);
 
 }  // namespace netsyn::nn

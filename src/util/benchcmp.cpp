@@ -120,6 +120,21 @@ BenchComparison compareBenchRecords(const std::string& baselineJson,
               "batched_genes_per_sec", /*gated=*/false);
     pushDelta(cmp, "scalar genes/sec", baseline, fresh,
               "scalar_genes_per_sec", /*gated=*/false);
+  } else if (baseTag == "train") {
+    // Fused vs autograd training, timed interleaved in one process: the
+    // ratio gates training throughput in machine-independent units. The
+    // raw rates swing with the host, and the gradient error is fenced by
+    // the bench itself (it exits nonzero past 1e-5): info rows.
+    pushDelta(cmp, "fused/autograd training speedup", baseline, fresh,
+              "speedup", /*gated=*/true);
+    pushDelta(cmp, "fused samples/sec", baseline, fresh,
+              "fused_samples_per_sec", /*gated=*/false);
+    pushDelta(cmp, "autograd samples/sec", baseline, fresh,
+              "autograd_samples_per_sec", /*gated=*/false);
+    cmp.rows.push_back(BenchDelta{"max gradient error vs autograd",
+                                  numberAt(baseline, "max_grad_error"),
+                                  numberAt(fresh, "max_grad_error"),
+                                  /*higherIsBetter=*/false, /*gated=*/false});
   } else if (baseTag == "islands") {
     const JsonValue* sweep = baseline.find("sweep");
     if (!sweep || sweep->kind != JsonValue::Kind::Array)

@@ -1,7 +1,7 @@
 // Bench-baseline comparison: the logic behind the CI perf-regression gate.
 //
 // The bench binaries emit machine-readable records (BENCH_interpreter.json,
-// BENCH_nn.json, BENCH_islands.json); snapshots of known-good runs live in
+// BENCH_nn.json, BENCH_train.json, BENCH_islands.json, ...); snapshots of known-good runs live in
 // bench/baselines/. compareBenchRecords() lines a fresh record up against
 // its snapshot, metric by metric, and the gate (bench/bench_gate.cpp) fails
 // the job when a gated metric regresses beyond the tolerance.
@@ -11,7 +11,7 @@
 //   - "speedup" ratios are gated. Each bench times its subject against an
 //     in-process reference on the same machine in the same run (the
 //     interpreter bench against the frozen PR 1 interpreter, the NN bench
-//     scalar vs batched), so the ratio cancels the machine out: a >15%
+//     scalar vs batched, the training bench fused vs autograd), so the ratio cancels the machine out: a >15%
 //     speedup drop means the subject path itself got slower relative to
 //     its fixed reference — a genes/sec regression in machine-independent
 //     units.
@@ -70,7 +70,7 @@ struct BenchComparison {
 };
 
 /// Compares two bench records of the same kind ("interpreter",
-/// "nn_scoring", "islands", "strdsl", or "fleet"). Throws
+/// "nn_scoring", "train", "islands", "strdsl", or "fleet"). Throws
 /// std::invalid_argument on malformed JSON, unknown bench tags, or a tag
 /// mismatch between the two records.
 BenchComparison compareBenchRecords(const std::string& baselineJson,

@@ -32,10 +32,15 @@ const char* kFleet =
     "{\"hosts\": 4, \"solved\": 5, \"solved_per_sec\": 8.0, "
     "\"scaling_vs_1host\": 3.2}]}";
 
+const char* kTrain =
+    "{\"bench\": \"train\", \"fused_samples_per_sec\": 1400.0, "
+    "\"autograd_samples_per_sec\": 170.0, \"speedup\": 8.2, "
+    "\"max_grad_error\": 1.2e-07}";
+
 }  // namespace
 
 TEST(BenchCmp, IdentityPassesEveryGate) {
-  for (const char* record : {kInterp, kNn, kIslands, kFleet}) {
+  for (const char* record : {kInterp, kNn, kTrain, kIslands, kFleet}) {
     const auto cmp = nu::compareBenchRecords(record, record);
     EXPECT_FALSE(cmp.anyRegression(0.15)) << record;
     EXPECT_FALSE(cmp.anyRegression(0.0)) << record;
@@ -291,4 +296,25 @@ TEST(BenchCmp, ZeroBaselineCannotRegress) {
       "{\"bench\": \"islands\", \"sweep\": ["
       "{\"islands\": 1, \"solved\": 0, \"solved_per_sec\": 0.0}]}";
   EXPECT_FALSE(nu::compareBenchRecords(zero, zero).anyRegression(0.15));
+}
+
+TEST(BenchCmp, TrainingSpeedupGatesButRatesAndGradientErrorDoNot) {
+  // The fused pass losing 20% against autograd in the same process trips
+  // the gate; a uniformly slower host (both rates down, same ratio) and a
+  // larger (still bench-fenced) gradient error do not.
+  const std::string slower =
+      "{\"bench\": \"train\", \"fused_samples_per_sec\": 1120.0, "
+      "\"autograd_samples_per_sec\": 170.0, \"speedup\": 6.56, "
+      "\"max_grad_error\": 1.2e-07}";
+  EXPECT_TRUE(nu::compareBenchRecords(kTrain, slower).anyRegression(0.15));
+  const std::string slowHost =
+      "{\"bench\": \"train\", \"fused_samples_per_sec\": 700.0, "
+      "\"autograd_samples_per_sec\": 85.0, \"speedup\": 8.2, "
+      "\"max_grad_error\": 9e-06}";
+  const auto cmp = nu::compareBenchRecords(kTrain, slowHost);
+  EXPECT_FALSE(cmp.anyRegression(0.15));
+  ASSERT_EQ(cmp.rows.size(), 4u);
+  EXPECT_TRUE(cmp.rows[0].gated);
+  for (std::size_t i = 1; i < cmp.rows.size(); ++i)
+    EXPECT_FALSE(cmp.rows[i].gated) << cmp.rows[i].metric;
 }

@@ -217,6 +217,7 @@ TEST(Chaos, ThrownTaskFaultsAreRetriedToBitIdenticalResults) {
   reg.armFromText(
       "service.task.start=throw@1/1x2;service.task.generation=throw@20/37x3");
   ns::SynthService svc(ns::ServiceConfig{.workers = 2,
+                                         .stateDir = {},
                                          .maxTaskRetries = 10,
                                          .retryBackoffMs = 2.0,
                                          .checkpointEveryGenerations = 4});
@@ -239,6 +240,7 @@ TEST(Chaos, StalledTaskIsAbandonedAndRetriedToBitIdenticalResults) {
   // it at the next boundary and the retry resumes from the last snapshot.
   reg.armFromText("service.task.generation=delay:1200@5x1");
   ns::SynthService svc(ns::ServiceConfig{.workers = 1,
+                                         .stateDir = {},
                                          .stallSeconds = 0.2,
                                          .maxTaskRetries = 5,
                                          .retryBackoffMs = 2.0,
@@ -255,6 +257,7 @@ TEST(Chaos, ExhaustedRetriesFailTheJobWithStructuredReason) {
   auto& reg = nu::FaultRegistry::instance();
   reg.armFromText("service.task.start=throw@1/1x0");  // every start dies
   ns::SynthService svc(ns::ServiceConfig{.workers = 1,
+                                         .stateDir = {},
                                          .maxTaskRetries = 2,
                                          .retryBackoffMs = 1.0});
   const ns::JobStatus failed = svc.wait(svc.submit(tinyConfig(7), "Edit"));
@@ -273,7 +276,7 @@ TEST(Chaos, ExhaustedRetriesFailTheJobWithStructuredReason) {
 
 TEST(Chaos, DeadlineFailsTheJobWithStructuredReason) {
   ChaosEnv env("deadline");
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .stateDir = {}});
   ns::SubmitOptions opts;
   opts.deadlineSeconds = 0.15;
   const ns::SubmitResult res = svc.submit(longConfig(), "Edit", opts);
@@ -288,7 +291,7 @@ TEST(Chaos, DeadlineFailsTheJobWithStructuredReason) {
 
 TEST(Chaos, OverloadedQueueRejectsThenRecovers) {
   ChaosEnv env("overload");
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .maxQueuedTasks = 4});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .stateDir = {}, .maxQueuedTasks = 4});
   const std::uint64_t big = svc.submit(longConfig(), "Edit");  // 4 tasks
   const auto cfg = tinyConfig(5);
   EXPECT_THROW(svc.submit(cfg, "Edit"), ns::OverloadedError);
@@ -307,7 +310,7 @@ TEST(Chaos, OverloadedQueueRejectsThenRecovers) {
 
 TEST(Chaos, AttachJoinsTheExistingJobByKey) {
   ChaosEnv env("attach");
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .resultCache = false});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .resultCache = false, .stateDir = {}});
   const auto cfg = tinyConfig(19);
   ns::SubmitOptions attach;
   attach.attach = true;
@@ -472,7 +475,7 @@ TEST(Chaos, EverySiteArmedPlusRestartStillBitIdentical) {
 
 TEST(ChaosProtocol, OverloadedSubmissionIsStructurallyRejected) {
   ChaosEnv env("proto-overload");
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .maxQueuedTasks = 1});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .stateDir = {}, .maxQueuedTasks = 1});
   bool shutdownRequested = false;
   const std::string resp = ns::handleRequestLine(
       svc,
@@ -501,7 +504,7 @@ TEST(ChaosProtocol, RequestFaultBecomesAnErrorResponseNotADeadSession) {
   ChaosEnv env("proto-fault");
   auto& reg = nu::FaultRegistry::instance();
   reg.armFromText("protocol.request=throw@2x1");
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .stateDir = {}});
   bool shutdownRequested = false;
   EXPECT_NE(ns::handleRequestLine(svc, "{\"op\": \"ping\"}", shutdownRequested)
                 .find("\"ok\": true"),

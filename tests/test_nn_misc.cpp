@@ -1,6 +1,9 @@
 // Additional NN tests: stacked-LSTM encodeAll, inference-mode guard
-// semantics, and trainer determinism.
+// semantics, trainer determinism, and parameter-file integrity.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
 
 #include "fitness/dataset.hpp"
 #include "fitness/model.hpp"
@@ -121,4 +124,22 @@ TEST(Trainer, EmptyTrainingSetThrows) {
   nf::NnffModel model(cfg);
   nf::Trainer trainer;
   EXPECT_THROW(trainer.train(model, {}, {}), std::invalid_argument);
+}
+
+TEST(Serialize, TrailingBytesAfterLastTensorAreRejected) {
+  nf::NnffConfig cfg;
+  cfg.encoder = {.vmax = 16, .maxValueTokens = 6};
+  cfg.embedDim = 6;
+  cfg.hiddenDim = 8;
+  nf::NnffModel saved(cfg);
+  const std::string path = ::testing::TempDir() + "netsyn_trailing.bin";
+  saved.save(path);
+  nf::NnffModel loaded(cfg);
+  EXPECT_NO_THROW(loaded.load(path));
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.put('\0');
+  }
+  EXPECT_THROW(loaded.load(path), std::runtime_error);
+  std::remove(path.c_str());
 }

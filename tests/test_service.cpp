@@ -83,7 +83,7 @@ void expectMatchesOneShot(const ns::JobStatus& job,
 // ------------------------------------------------- determinism ------------
 
 TEST(Service, ConcurrentJobsBitIdenticalToOneShotRuns) {
-  ns::SynthService svc(ns::ServiceConfig{.workers = 3, .resultCache = true});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 3, .resultCache = true, .stateDir = {}});
   const std::uint64_t seeds[] = {7, 8, 9};
   std::vector<std::uint64_t> ids;
   for (std::uint64_t s : seeds) ids.push_back(svc.submit(tinyConfig(s), "Edit"));
@@ -96,7 +96,7 @@ TEST(Service, ConcurrentJobsBitIdenticalToOneShotRuns) {
 }
 
 TEST(Service, OracleJobMatchesOneShot) {
-  ns::SynthService svc(ns::ServiceConfig{.workers = 2});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 2, .stateDir = {}});
   const auto cfg = tinyConfig(21);
   const ns::JobStatus done = svc.wait(svc.submit(cfg, "Oracle_LCS"));
   expectMatchesOneShot(done, oneShot(cfg, "Oracle_LCS"));
@@ -107,7 +107,7 @@ TEST(Service, IslandsStrategyJobMatchesOneShot) {
   cfg.synthesizer.strategy = nc::SearchStrategy::Islands;
   cfg.synthesizer.islands.count = 2;
   cfg.synthesizer.islands.migrationInterval = 3;
-  ns::SynthService svc(ns::ServiceConfig{.workers = 2});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 2, .stateDir = {}});
   const ns::JobStatus done = svc.wait(svc.submit(cfg, "Edit"));
   expectMatchesOneShot(done, oneShot(cfg, "Edit"));
 }
@@ -116,7 +116,7 @@ TEST(Service, IslandsStrategyJobMatchesOneShot) {
 
 TEST(Service, CancelFreesTheWorkerWithoutCorruptingOtherJobs) {
   // One worker: the long job occupies it, the tiny job queues behind.
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .stateDir = {}});
   const std::uint64_t big = svc.submit(longConfig(), "Edit");
   const auto smallCfg = tinyConfig(5);
   const std::uint64_t small = svc.submit(smallCfg, "Edit");
@@ -185,13 +185,14 @@ TEST(SearchStateSnapshot, ResumedCheckpointFinishesWithTheSameWinner) {
   EXPECT_EQ(resumedResult->generations, expected.generations);
   EXPECT_EQ(resumedResult->nsInvocations, expected.nsInvocations);
   EXPECT_DOUBLE_EQ(resumedResult->bestFitness, expected.bestFitness);
-  if (expected.found)
+  if (expected.found) {
     EXPECT_EQ(resumedResult->solution.functions(),
               expected.solution.functions());
+  }
 }
 
 TEST(Service, PauseResumeJobMatchesOneShot) {
-  ns::SynthService svc(ns::ServiceConfig{.workers = 2});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 2, .stateDir = {}});
   const auto cfg = tinyConfig(13, 4000);
   const std::uint64_t id = svc.submit(cfg, "Edit");
   // Pause may land before, during, or after the tasks — every interleaving
@@ -204,7 +205,7 @@ TEST(Service, PauseResumeJobMatchesOneShot) {
 }
 
 TEST(Service, PausedLongJobCheckpointsAndResumes) {
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .stateDir = {}});
   const std::uint64_t id = svc.submit(longConfig(17), "Edit");
   // Pause only once a worker is actually mid-search — pausing a still-
   // queued job parks its tasks without a checkpoint, which is legal but
@@ -227,7 +228,7 @@ TEST(Service, PausedLongJobCheckpointsAndResumes) {
 // ------------------------------------------------- cross-request caches ---
 
 TEST(Service, IdenticalResubmissionHitsTheResultCache) {
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .resultCache = true});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .resultCache = true, .stateDir = {}});
   const auto cfg = tinyConfig(19);
   const ns::JobStatus first = svc.wait(svc.submit(cfg, "Edit"));
   const ns::JobStatus second = svc.wait(svc.submit(cfg, "Edit"));
@@ -244,7 +245,7 @@ TEST(Service, IdenticalResubmissionHitsTheResultCache) {
 TEST(Service, SecondSubmissionOfIdenticalSpecReportsWarmPlanCache) {
   // Result memo off: the second job really searches — through the worker's
   // persistent executor, whose plan cache the first job already filled.
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .resultCache = false});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .resultCache = false, .stateDir = {}});
   const auto cfg = tinyConfig(23, 400);
   const ns::JobStatus first = svc.wait(svc.submit(cfg, "Edit"));
   const ns::JobStatus second = svc.wait(svc.submit(cfg, "Edit"));
@@ -265,7 +266,7 @@ TEST(Service, SecondSubmissionOfIdenticalSpecReportsWarmPlanCache) {
 // ------------------------------------------------- API edges --------------
 
 TEST(Service, UnknownJobAndMethodAreLoud) {
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .stateDir = {}});
   EXPECT_THROW(svc.status(999), std::out_of_range);
   EXPECT_THROW(svc.wait(999), std::out_of_range);
   EXPECT_THROW(svc.submit(tinyConfig(), "PushGP"), std::invalid_argument);
@@ -273,7 +274,7 @@ TEST(Service, UnknownJobAndMethodAreLoud) {
 }
 
 TEST(Service, ShutdownCancelsOutstandingJobs) {
-  ns::SynthService svc(ns::ServiceConfig{.workers = 1});
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .stateDir = {}});
   const std::uint64_t id = svc.submit(longConfig(29), "Edit");
   svc.shutdown();
   EXPECT_EQ(svc.status(id).state, ns::JobState::Cancelled);
@@ -287,7 +288,7 @@ namespace {
 
 std::vector<nu::JsonValue> runSession(const std::string& requests,
                                       std::size_t workers = 2) {
-  ns::SynthService svc(ns::ServiceConfig{.workers = workers});
+  ns::SynthService svc(ns::ServiceConfig{.workers = workers, .stateDir = {}});
   std::istringstream in(requests);
   std::ostringstream out;
   ns::serveLines(svc, in, out);
