@@ -132,6 +132,21 @@ int main(int argc, char** argv) {
               batchRate, batchSeconds, graded);
   std::printf("speedup:             %8.2fx\n", batchRate / scalarRate);
 
+  // LSTM work the scoring memos skipped (both paths share one model).
+  const auto memo = model->memoStats();
+  std::printf("stepLstm steps reused:  %llu of %llu\n",
+              static_cast<unsigned long long>(memo.stepPrefixHits),
+              static_cast<unsigned long long>(memo.stepPrefixHits +
+                                              memo.stepPrefixMisses));
+  std::printf("traceLstm steps reused: %llu of %llu\n",
+              static_cast<unsigned long long>(memo.tokenPrefixHits),
+              static_cast<unsigned long long>(memo.tokenPrefixHits +
+                                              memo.tokenPrefixMisses));
+  std::printf("spec preludes reused:   %llu of %llu\n",
+              static_cast<unsigned long long>(memo.preludeHits),
+              static_cast<unsigned long long>(memo.preludeHits +
+                                              memo.preludeMisses));
+
   // Machine-readable record so CI can track the NN-scoring perf trajectory.
   const std::string jsonPath = args.getString("json", "BENCH_nn.json");
   if (!jsonPath.empty()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "dsl/domain.hpp"
 #include "dsl/interpreter.hpp"
@@ -61,6 +62,11 @@ std::uint64_t valueFingerprint(const dsl::Value& v) {
   const auto& xs = v.asList();
   return laneListFingerprint(xs.data(), xs.size());
 }
+
+/// Seeds of the prefix-state memo keys. Each is a separate key space; the
+/// seeds only keep an empty prefix from hashing to FNV's offset basis.
+constexpr std::uint64_t kStepPrefixSeed = 0x5be0cd19137e2179ULL;
+constexpr std::uint64_t kTokenPrefixSeed = 0x1f83d9abfb41bd6bULL;
 
 /// Combined key of the edit-distance memo (trace fp mixed with output fp).
 std::uint64_t editKey(std::uint64_t traceFp, std::uint64_t outputFp) {
@@ -363,10 +369,35 @@ const std::vector<float>& NnffModel::insertTraceMemo(
     std::swap(traceMemo_, traceMemoPrev_);
     traceMemo_.clear();
   }
-  std::vector<float> h(config_.hiddenDim);
-  nn::lstmEncodeTokensFast(*traceLstm_, *valueEmb_, tokens, h.data(),
-                           scratch_);
-  return traceMemo_.emplace(key, std::move(h)).first->second;
+  // Encode with traceLstm, resuming from the longest token prefix whose
+  // state is stored (values in a population share heads: a sorted list and
+  // its extension, a filter's survivors) and storing every new prefix.
+  const std::size_t hd = config_.hiddenDim;
+  const std::size_t n = tokens.size();
+  tokenKeys_.resize(n);
+  FnvMixer f{kTokenPrefixSeed};
+  for (std::size_t t = 0; t < n; ++t) {
+    f.mix(tokens[t]);
+    tokenKeys_[t] = f.h;
+  }
+  std::size_t done = n;
+  const float* state = nullptr;
+  while (done > 0 && (state = tokenMemo_.find(tokenKeys_[done - 1])) ==
+                         nullptr)
+    --done;
+  tokenState_.assign(2 * hd, 0.0f);
+  float* h = tokenState_.data();
+  float* c = h + hd;
+  if (state != nullptr) std::copy(state, state + 2 * hd, h);
+  memoStats_.tokenPrefixHits += done;
+  memoStats_.tokenPrefixMisses += n - done;
+  const std::size_t e = valueEmb_->dim();
+  for (std::size_t t = done; t < n; ++t) {
+    nn::lstmStepFast(*traceLstm_, valueEmb_->table().data() + tokens[t] * e,
+                     h, c, scratch_);
+    tokenMemo_.insert(tokenKeys_[t], h, c);
+  }
+  return traceMemo_.emplace(key, std::vector<float>(h, h + hd)).first->second;
 }
 
 const std::vector<float>& NnffModel::traceEncodingMemo(
@@ -437,10 +468,25 @@ std::size_t NnffModel::editDistanceMemoSpan(
   return dist;
 }
 
-void NnffModel::setMemoCapacity(std::size_t cap) {
-  memoCapacity_ = std::max<std::size_t>(cap, 1);
+void NnffModel::clearWeightCaches() const {
   traceMemo_.clear();
   traceMemoPrev_.clear();
+  preludes_.clear();
+  stepMemo_.clear();
+  tokenMemo_.clear();
+}
+
+void NnffModel::load(const std::string& path) {
+  nn::loadParams(params_, path);
+  clearWeightCaches();
+}
+
+void NnffModel::setMemoCapacity(std::size_t cap) {
+  memoCapacity_ = std::max<std::size_t>(cap, 1);
+  preludeCapacity_ = std::min(memoCapacity_, kPreludeCapacity);
+  stepMemo_.setCapacity(memoCapacity_);
+  tokenMemo_.setCapacity(memoCapacity_);
+  clearWeightCaches();
   editMemo_.clear();
   editMemoPrev_.clear();
   memoStats_ = MemoStats{};
@@ -479,6 +525,7 @@ void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
   out.examples = m;
   out.stepWidth = stepWidth;
   out.steps.resize(m * len * stepWidth);
+  out.stepFps.resize(m * len);
   out.gfeat.resize(m * 4);
 
   for (std::size_t i = 0; i < m; ++i) {
@@ -496,6 +543,7 @@ void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
       if (view.stepType(k) == dsl::Type::Int) {
         const std::int32_t v = view.intAt(k, i);
         const std::uint64_t tvFp = laneIntFingerprint(v);
+        out.stepFps[i * len + k] = tvFp;
         const auto& tEnc = traceEncodingMemoSpan(tvFp, /*isInt=*/true, &v, 1);
         std::copy(tEnc.begin(), tEnc.end(), x + e);
         dist = editDistanceMemoSpan(tvFp, outputFp, &v, 1, outToks);
@@ -504,6 +552,7 @@ void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
         std::size_t segLen = 0;
         const std::int32_t* seg = view.listAt(k, i, &segLen);
         const std::uint64_t tvFp = laneListFingerprint(seg, segLen);
+        out.stepFps[i * len + k] = tvFp;
         const auto& tEnc =
             traceEncodingMemoSpan(tvFp, /*isInt=*/false, seg, segLen);
         std::copy(tEnc.begin(), tEnc.end(), x + e);
@@ -598,6 +647,67 @@ std::vector<std::vector<float>> NnffModel::predictBatchRuns(
   return predictBatchImpl(spec, candidates, table);
 }
 
+const NnffModel::SpecPrelude& NnffModel::specPrelude(const dsl::Spec& spec,
+                                                     std::size_t m) const {
+  FnvMixer key;
+  key.mix(spec.fingerprint());
+  key.mix(m);
+  if (const auto it = preludes_.find(key.h); it != preludes_.end()) {
+    ++memoStats_.preludeHits;
+    return it->second;
+  }
+  ++memoStats_.preludeMisses;
+  if (preludes_.size() >= preludeCapacity_) preludes_.clear();
+  SpecPrelude& p = preludes_[key.h];
+  const std::size_t h = config_.hiddenDim;
+
+  // Spec encodings, batched across the m examples.
+  std::vector<std::vector<std::size_t>> inTokens(m), outTokens(m);
+  std::vector<float> ioFeatsAll(m * kIoFeatureDim);
+  p.outputFps.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const dsl::IOExample& example = spec.examples[i];
+    inTokens[i] = encoder_.encodeInputs(example.inputs);
+    outTokens[i] = encoder_.encodeValue(example.output);
+    p.outputFps[i] = valueFingerprint(example.output);
+    const auto feats = ioSummaryFeatures(example.inputs, example.output);
+    std::copy(feats.begin(), feats.end(),
+              ioFeatsAll.begin() + i * kIoFeatureDim);
+  }
+  p.hIn.resize(m * h);
+  p.hOut.resize(m * h);
+  p.hIoF.resize(m * h);
+  nn::lstmEncodeTokensBatchFast(*inputLstm_, *valueEmb_, inTokens,
+                                p.hIn.data(), scratch_);
+  nn::lstmEncodeTokensBatchFast(*outputLstm_, *valueEmb_, outTokens,
+                                p.hOut.data(), scratch_);
+  nn::linearForwardBatchFast(*ioFeatProj_, ioFeatsAll.data(), m,
+                             p.hIoF.data());
+  for (float& v : p.hIoF) v = std::tanh(v);
+
+  // The first three combiner pieces are spec-level, so both combiner LSTMs
+  // advance through them here, once per example on a single row. Layer 2
+  // consumes layer 1's hidden right after each step (equivalent to
+  // encodeAll + encode, without materializing the l1 sequence).
+  p.h1.assign(m * h, 0.0f);
+  p.c1.assign(m * h, 0.0f);
+  p.h2.assign(m * h, 0.0f);
+  p.c2.assign(m * h, 0.0f);
+  for (std::size_t i = 0; i < m; ++i) {
+    float* h1 = p.h1.data() + i * h;
+    float* c1 = p.c1.data() + i * h;
+    float* h2 = p.h2.data() + i * h;
+    float* c2 = p.c2.data() + i * h;
+    const float* pieces[3] = {p.hIn.data() + i * h, p.hOut.data() + i * h,
+                              p.hIoF.data() + i * h};
+    for (const float* piece : pieces) {
+      nn::lstmStepFast(*combine1_, piece, h1, c1, scratch_);
+      nn::lstmStepFast(*combine2_, h1, h2, c2, scratch_);
+    }
+  }
+  return p;
+}
+
 std::vector<std::vector<float>> NnffModel::predictBatchImpl(
     const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
     const std::vector<const std::vector<dsl::Value>*>& traceTable,
@@ -606,48 +716,23 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
   const std::size_t h = config_.hiddenDim;
   const std::size_t e = config_.embedDim;
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
+  const SpecPrelude& pre = specPrelude(spec, m);
 
   // His: example-major blocks of B x h (block i feeds exampleLstm step i).
   std::vector<float> His(std::max<std::size_t>(m, 1) * batch * h);
   std::vector<float> hProg(batch * h), cProg(batch * h), hMul(batch * h),
       hFeat(batch * h);
-  std::vector<float> h1s(h), c1s(h), h2s(h), c2s(h);
   std::vector<float> hC(batch * h), cC(batch * h), h2(batch * h),
       c2(batch * h);
 
-  // Shared spec encodings, computed once for the whole population (the
-  // scalar path recomputes these for every gene) and batched across the m
-  // examples.
-  std::vector<std::vector<std::size_t>> inTokens(m), outTokens(m);
-  std::vector<float> ioFeatsAll(m * kIoFeatureDim);
   for (std::size_t i = 0; i < m; ++i) {
     const dsl::IOExample& example = spec.examples[i];
-    inTokens[i] = encoder_.encodeInputs(example.inputs);
-    outTokens[i] = encoder_.encodeValue(example.output);
-    const auto feats = ioSummaryFeatures(example.inputs, example.output);
-    std::copy(feats.begin(), feats.end(),
-              ioFeatsAll.begin() + i * kIoFeatureDim);
-  }
-  std::vector<float> hInAll(m * h), hOutAll(m * h), hIoFAll(m * h);
-  nn::lstmEncodeTokensBatchFast(*inputLstm_, *valueEmb_, inTokens,
-                                hInAll.data(), scratch_);
-  nn::lstmEncodeTokensBatchFast(*outputLstm_, *valueEmb_, outTokens,
-                                hOutAll.data(), scratch_);
-  nn::linearForwardBatchFast(*ioFeatProj_, ioFeatsAll.data(), m,
-                             hIoFAll.data());
-  for (float& v : hIoFAll) v = std::tanh(v);
-
-  for (std::size_t i = 0; i < m; ++i) {
-    const dsl::IOExample& example = spec.examples[i];
-    const float* hIn = hInAll.data() + i * h;
-    const float* hOut = hOutAll.data() + i * h;
-    const float* hIoF = hIoFAll.data() + i * h;
+    const float* hOut = pre.hOut.data() + i * h;
 
     if (config_.useTrace) {
       // Program branch, batched over genes: step k runs all genes that are
       // at least k+1 long through stepLstm as one B x (e+h+2) block.
-      const std::uint64_t outputFp =
-          encoded ? 0 : valueFingerprint(example.output);
+      const std::uint64_t outputFp = pre.outputFps[i];
       const std::size_t stepWidth = e + h + 2;
       std::size_t maxLen = 0;
       for (std::size_t b = 0; b < batch; ++b) {
@@ -658,31 +743,83 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
               "NnffModel: trace length != program length");
         maxLen = std::max(maxLen, candidates[b]->length());
       }
+
+      // Prefix keys: keys[b * maxLen + k] names row b's steps 0..k. Each
+      // row starts from the longest prefix whose stepLstm state is
+      // memoized, so only its remaining steps run. An encoded trace
+      // without step fingerprints has no keys; it runs in full and stores
+      // nothing.
+      std::vector<std::uint64_t> keys(batch * maxLen, 0);
+      // Scattered traces: each step's value fingerprint, kept for the row
+      // loop below.
+      std::vector<std::uint64_t> traceFps(encoded ? 0 : batch * maxLen);
+      std::vector<std::size_t> start(batch, 0);
+      std::vector<std::uint8_t> keyed(batch, 1);
+      std::fill(hProg.begin(), hProg.end(), 0.0f);
+      std::fill(cProg.begin(), cProg.end(), 0.0f);
+      for (std::size_t b = 0; b < batch; ++b) {
+        const dsl::Program& gene = *candidates[b];
+        const std::size_t len = gene.length();
+        const EncodedTrace* et = encoded ? (*encoded)[b] : nullptr;
+        if (et != nullptr && et->stepFps.size() < (i + 1) * len) {
+          keyed[b] = 0;
+          continue;
+        }
+        std::uint64_t* rowKeys = keys.data() + b * maxLen;
+        FnvMixer f{kStepPrefixSeed};
+        f.mix(outputFp);
+        for (std::size_t k = 0; k < len; ++k) {
+          const std::uint64_t tvFp =
+              et != nullptr ? et->stepFps[i * len + k]
+                            : valueFingerprint((*traceTable[b * m + i])[k]);
+          if (et == nullptr) traceFps[b * maxLen + k] = tvFp;
+          f.mix(gene.at(k));
+          f.mix(tvFp);
+          rowKeys[k] = f.h;
+        }
+        std::size_t done = len;
+        const float* state = nullptr;
+        while (done > 0 &&
+               (state = stepMemo_.find(rowKeys[done - 1])) == nullptr)
+          --done;
+        if (state != nullptr) {
+          std::copy(state, state + h, hProg.begin() + b * h);
+          std::copy(state + h, state + 2 * h, cProg.begin() + b * h);
+        }
+        start[b] = done;
+        memoStats_.stepPrefixHits += done;
+      }
+
       std::vector<float> xStep(batch * stepWidth, 0.0f);
       std::vector<std::uint8_t> active(batch);
       std::vector<std::size_t> exactSteps(batch, 0);
-      std::fill(hProg.begin(), hProg.end(), 0.0f);
-      std::fill(cProg.begin(), cProg.end(), 0.0f);
+      std::vector<std::pair<std::uint64_t, std::size_t>> groups;
       for (std::size_t k = 0; k < maxLen; ++k) {
+        bool any = false;
         for (std::size_t b = 0; b < batch; ++b) {
-          active[b] = k < candidates[b]->length() ? 1 : 0;
-          if (!active[b]) continue;
+          active[b] = k >= start[b] && k < candidates[b]->length();
+          any = any || active[b];
           float* x = xStep.data() + b * stepWidth;
           if (encoded) {
             // Lane path: the full stepLstm input row was produced by
             // encodeLaneTrace; feed it verbatim (exactSteps is already
             // folded into the encoded example features).
+            if (!active[b]) continue;
             const EncodedTrace& et = *(*encoded)[b];
             const float* row =
                 et.steps.data() + (i * et.length + k) * et.stepWidth;
             std::copy(row, row + stepWidth, x);
             continue;
           }
+          // Scattered traces: every step is encoded, memoized prefix or
+          // not, since exactSteps needs its distance and the memo counters
+          // must not depend on which prefixes are stored.
+          if (k >= candidates[b]->length()) continue;
           const float* fRow =
               funcEmb_->table().data() + funcRow(candidates[b]->at(k)) * e;
           std::copy(fRow, fRow + e, x);
           const dsl::Value& tv = (*traceTable[b * m + i])[k];
-          const std::uint64_t tvFp = valueFingerprint(tv);
+          const std::uint64_t tvFp = traceFps[b * maxLen + k];
           const auto& tEnc = traceEncodingMemo(tv, tvFp);
           std::copy(tEnc.begin(), tEnc.end(), x + e);
           const auto dist =
@@ -691,8 +828,36 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
           x[e + h + 1] = (dist == 0) ? 1.0f : 0.0f;
           if (dist == 0) ++exactSteps[b];
         }
+        if (!any) continue;
+
+        // Rows whose keys agree at step k hold the same state and input:
+        // the first (the leader) runs the step, the rest copy its result.
+        groups.clear();
+        for (std::size_t b = 0; b < batch; ++b)
+          if (active[b] && keyed[b])
+            groups.emplace_back(keys[b * maxLen + k], b);
+        std::sort(groups.begin(), groups.end());
+        for (std::size_t g = 1; g < groups.size(); ++g)
+          if (groups[g].first == groups[g - 1].first)
+            active[groups[g].second] = 0;
+
         nn::lstmStepBatchFast(*stepLstm_, xStep.data(), batch, hProg.data(),
                               cProg.data(), scratch_, active.data());
+        for (std::size_t b = 0; b < batch; ++b)
+          if (active[b]) ++memoStats_.stepPrefixMisses;
+        std::size_t leader = 0;
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          const std::size_t b = groups[g].second;
+          if (g > 0 && groups[g].first == groups[g - 1].first) {
+            std::copy_n(hProg.begin() + leader * h, h, hProg.begin() + b * h);
+            std::copy_n(cProg.begin() + leader * h, h, cProg.begin() + b * h);
+            ++memoStats_.stepPrefixHits;
+            continue;
+          }
+          leader = b;
+          stepMemo_.insert(groups[g].first, hProg.data() + b * h,
+                           cProg.data() + b * h);
+        }
       }
       for (std::size_t b = 0; b < batch; ++b)
         for (std::size_t j = 0; j < h; ++j)
@@ -723,29 +888,19 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
       for (float& v : hFeat) v = std::tanh(v);
     }
 
-    // Stacked combiners. The first three pieces are spec-level — identical
-    // for every gene — so both combiner LSTMs advance through them once on a
-    // single row; the resulting states are broadcast and the gene pieces run
-    // batched. Layer 2 consumes layer 1's hidden right after each step
-    // (equivalent to encodeAll + encode, without materializing the l1
-    // sequence).
-    std::fill(h1s.begin(), h1s.end(), 0.0f);
-    std::fill(c1s.begin(), c1s.end(), 0.0f);
-    std::fill(h2s.begin(), h2s.end(), 0.0f);
-    std::fill(c2s.begin(), c2s.end(), 0.0f);
-    const float* sharedPieces[3] = {hIn, hOut, hIoF};
-    for (const float* piece : sharedPieces) {
-      nn::lstmStepFast(*combine1_, piece, h1s.data(), c1s.data(), scratch_);
-      nn::lstmStepFast(*combine2_, h1s.data(), h2s.data(), c2s.data(),
-                       scratch_);
-    }
+    // Stacked combiners: every gene starts from the prelude's states after
+    // the three spec pieces, and the gene pieces run batched.
+    const float* h1s = pre.h1.data() + i * h;
+    const float* c1s = pre.c1.data() + i * h;
+    const float* h2s = pre.h2.data() + i * h;
+    const float* c2s = pre.c2.data() + i * h;
     float* Hi = His.data() + i * batch * h;
     if (config_.useTrace) {
       for (std::size_t b = 0; b < batch; ++b) {
-        std::copy(h1s.begin(), h1s.end(), hC.begin() + b * h);
-        std::copy(c1s.begin(), c1s.end(), cC.begin() + b * h);
-        std::copy(h2s.begin(), h2s.end(), h2.begin() + b * h);
-        std::copy(c2s.begin(), c2s.end(), c2.begin() + b * h);
+        std::copy_n(h1s, h, hC.begin() + b * h);
+        std::copy_n(c1s, h, cC.begin() + b * h);
+        std::copy_n(h2s, h, h2.begin() + b * h);
+        std::copy_n(c2s, h, c2.begin() + b * h);
       }
       const float* genePieces[3] = {hProg.data(), hMul.data(), hFeat.data()};
       for (const float* piece : genePieces) {
@@ -756,8 +911,7 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
       }
       std::copy(h2.begin(), h2.end(), Hi);
     } else {
-      for (std::size_t b = 0; b < batch; ++b)
-        std::copy(h2s.begin(), h2s.end(), Hi + b * h);
+      for (std::size_t b = 0; b < batch; ++b) std::copy_n(h2s, h, Hi + b * h);
     }
   }
 

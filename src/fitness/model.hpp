@@ -24,6 +24,7 @@
 #include "dsl/program.hpp"
 #include "dsl/spec.hpp"
 #include "fitness/encoding.hpp"
+#include "fitness/prefix_memo.hpp"
 #include "nn/inference.hpp"
 #include "nn/layers.hpp"
 #include "nn/serialize.hpp"
@@ -37,15 +38,17 @@ namespace netsyn::fitness {
 
 /// One candidate's NN-ready trace features, encoded straight from a
 /// LaneTraceView by NnffModel::encodeLaneTrace: per (example i, step k) the
-/// full stepLstm input row [funcEmb | trace encoding | match features], plus
-/// the four example-level summary features. predictBatchEncoded feeds the
-/// rows into the batched LSTMs directly, so the lane path never
-/// materializes a trace Value.
+/// full stepLstm input row [funcEmb | trace encoding | match features] and
+/// the fingerprint of the step's trace value, plus the four example-level
+/// summary features. predictBatchEncoded feeds the rows into the batched
+/// LSTMs directly, so the lane path never materializes a trace Value; the
+/// fingerprints key its program-prefix state memo.
 struct EncodedTrace {
   std::size_t length = 0;     ///< candidate length (steps per example)
   std::size_t examples = 0;   ///< encoded examples: min(spec size, maxExamples)
   std::size_t stepWidth = 0;  ///< embedDim + hiddenDim + 2
   std::vector<float> steps;   ///< rows at [(i * length + k) * stepWidth]
+  std::vector<std::uint64_t> stepFps;  ///< [i * length + k]: fp of t_k
   std::vector<float> gfeat;   ///< [i * 4]: final-dist features, exact fraction
 };
 
@@ -129,7 +132,7 @@ class NnffModel {
   /// rows' logits (rows.size() x outDim, row-major). trainBackward takes
   /// d(loss)/d(logits) in the same layout and accumulates the parameter
   /// gradients into params()' gradient buffers. A training pass clears the
-  /// fast paths' trace-encoding memo, whose entries depend on the weights.
+  /// fast paths' weight-dependent caches (clearWeightCaches).
   /// Not thread-safe; one model trains on one thread.
   const std::vector<float>& trainForward(const std::vector<TrainRow>& rows);
   void trainBackward(const float* dlogits);
@@ -145,9 +148,10 @@ class NnffModel {
 
   /// Population-batched forward pass: row i of the result is the logits of
   /// candidates[i] (bitwise identical to forwardFast on the same gene). The
-  /// GA's hot path: spec encodings are computed once per example instead of
-  /// once per gene, repeated trace values hit a memo, and every LSTM/linear
-  /// layer runs the whole population as one matrix-matrix product.
+  /// GA's hot path: spec encodings are computed once per spec (the prelude
+  /// cache), repeated trace values hit a memo, no LSTM prefix already run
+  /// is run again (the prefix-state memos), and every LSTM/linear layer
+  /// runs the whole population as one matrix-matrix product.
   /// `traces[i]` are candidate i's per-example traces (as in forwardFast).
   /// Not thread-safe; clone the model per worker thread.
   std::vector<std::vector<float>> predictBatch(
@@ -187,18 +191,23 @@ class NnffModel {
       const std::vector<const dsl::Program*>& candidates,
       const std::vector<const EncodedTrace*>& encoded) const;
 
-  /// Hit/miss counters of the trace-encoding and edit-distance memos, for
-  /// tests and service stats (proves the two-generation eviction keeps the
-  /// hit rate high when the working set sits at the capacity boundary).
+  /// Hit/miss counters of the scoring memos, for tests and service stats
+  /// (proves the two-generation eviction keeps the hit rate high when the
+  /// working set sits at the capacity boundary). The prefix-state memos
+  /// count LSTM steps: a hit is a step loaded or shared instead of run.
   struct MemoStats {
     std::uint64_t traceHits = 0, traceMisses = 0;
     std::uint64_t editHits = 0, editMisses = 0;
+    std::uint64_t preludeHits = 0, preludeMisses = 0;  ///< per batch call
+    std::uint64_t stepPrefixHits = 0, stepPrefixMisses = 0;    ///< stepLstm
+    std::uint64_t tokenPrefixHits = 0, tokenPrefixMisses = 0;  ///< traceLstm
   };
   MemoStats memoStats() const { return memoStats_; }
 
   /// Test hook: shrinks the memo capacity (entries per generation map) so
-  /// boundary behavior is testable without 32k distinct values. Clears both
-  /// memos and the counters.
+  /// boundary behavior is testable without 32k distinct values; the spec
+  /// prelude and prefix-state memos clear at min(cap, their own capacity).
+  /// Clears every memo and the counters.
   void setMemoCapacity(std::size_t cap);
 
   /// Deep copy with identical parameters and its own scratch/memo buffers —
@@ -206,7 +215,8 @@ class NnffModel {
   std::unique_ptr<NnffModel> clone() const;
 
   void save(const std::string& path) const { nn::saveParams(params_, path); }
-  void load(const std::string& path) { nn::loadParams(params_, path); }
+  /// Loads weights and drops every cache computed under the old ones.
+  void load(const std::string& path);
 
  private:
   /// Embeds a token sequence and encodes it with `lstm`.
@@ -272,6 +282,26 @@ class NnffModel {
                                    const std::vector<std::int32_t>& outToks)
       const;
 
+  /// Everything predictBatchImpl computes from the spec alone, per example
+  /// i < m: the three spec pieces [hIn | hOut | hIoF], the (h, c) of both
+  /// combiner LSTMs after consuming them, and the output's fingerprint.
+  struct SpecPrelude {
+    std::vector<float> hIn, hOut, hIoF;  ///< m x h each
+    std::vector<float> h1, c1, h2, c2;   ///< m x h each
+    std::vector<std::uint64_t> outputFps;  ///< m
+  };
+
+  /// The prelude of (spec, m), computed on the first call and cached by
+  /// content (Spec::fingerprint), so a spec freed and another allocated at
+  /// its address cannot alias. Same collision reasoning as traceMemo_.
+  const SpecPrelude& specPrelude(const dsl::Spec& spec, std::size_t m) const;
+
+  /// Drops every cache whose entries depend on the weights: the trace
+  /// encodings, the spec preludes and both prefix-state memos. Called
+  /// wherever the weights change under the model (load, trainForward) and
+  /// by setMemoCapacity.
+  void clearWeightCaches() const;
+
   /// Shared core of predictBatch/predictBatchRuns/predictBatchEncoded:
   /// traceTable[b * m + i] points at candidate b's trace on example i (empty
   /// when !useTrace). When `encoded` is non-null it supplies the step rows
@@ -326,6 +356,24 @@ class NnffModel {
   mutable std::unordered_map<std::uint64_t, std::size_t> editMemoPrev_;
   std::size_t memoCapacity_ = 1u << 15;  ///< entries per generation map
   mutable MemoStats memoStats_;
+
+  /// Spec preludes by mixed (fingerprint, m); cleared when it reaches
+  /// kPreludeCapacity specs (a search works one spec at a time).
+  static constexpr std::size_t kPreludeCapacity = 8;
+  std::size_t preludeCapacity_ = kPreludeCapacity;
+  mutable std::unordered_map<std::uint64_t, SpecPrelude> preludes_;
+  /// stepLstm state after program steps 0..k of one (gene, example) row,
+  /// keyed by the chained fingerprint of (output, f_0, t_0, ..., f_k, t_k):
+  /// step row j is a pure function of f_j, the trace value t_j and the
+  /// example output, so the key names every input of the state.
+  mutable PrefixStateMemo stepMemo_{config_.hiddenDim};
+  /// traceLstm state after the first k+1 tokens of a trace value, keyed by
+  /// the chained fingerprint of those tokens. A trace-memo miss resumes
+  /// from the longest stored prefix instead of from zero.
+  mutable PrefixStateMemo tokenMemo_{config_.hiddenDim};
+  // insertTraceMemo's work buffers (prefix keys, [h | c]), reused per miss.
+  mutable std::vector<std::uint64_t> tokenKeys_;
+  mutable std::vector<float> tokenState_;
 
   // Lane-capture state (beginLaneCapture): per-example output fingerprints
   // and full token spans, so encodeLaneTrace computes them once per spec

@@ -50,8 +50,7 @@ const std::vector<float>& NnffModel::trainForward(
     const std::vector<TrainRow>& rows) {
   if (!train_) train_.reset(new TrainTape);
   TrainTape& tp = *train_;
-  traceMemo_.clear();
-  traceMemoPrev_.clear();
+  clearWeightCaches();
 
   const std::size_t n = rows.size();
   const std::size_t h = config_.hiddenDim;

@@ -115,11 +115,7 @@ Var tanhOp(const Var& a) {
 
 Var sigmoidOp(const Var& a) {
   Matrix out = a->value();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const float x = out.at(i);
-    out.at(i) = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                          : std::exp(x) / (1.0f + std::exp(x));
-  }
+  for (std::size_t i = 0; i < out.size(); ++i) out.at(i) = sigmoid(out.at(i));
   return makeNode(std::move(out), {a}, [a](Node& n) {
     for (std::size_t i = 0; i < n.grad().size(); ++i) {
       const float y = n.value().at(i);
@@ -214,8 +210,7 @@ Var bceWithLogits(const Var& logits, const Matrix& targets) {
     const float t = targets.at(i);
     // Stable: max(x,0) - x*t + log(1 + exp(-|x|)).
     loss += std::max(x, 0.0f) - x * t + std::log1p(std::exp(-std::fabs(x)));
-    sig.at(i) = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                          : std::exp(x) / (1.0f + std::exp(x));
+    sig.at(i) = sigmoid(x);
   }
   Matrix out(1, 1);
   out.at(0) = loss * inv;
@@ -298,11 +293,13 @@ void ParamStore::zeroGrad() {
 
 float ParamStore::gradNorm() const {
   double s = 0.0;
-  for (const auto& p : params_)
-    for (std::size_t i = 0; i < p->grad().size(); ++i) {
-      const double g = p->grad().at(i);
+  for (const auto& p : params_) {
+    const Matrix& grad = p->grad();
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      const double g = grad.at(i);
       s += g * g;
     }
+  }
   return static_cast<float>(std::sqrt(s));
 }
 
@@ -310,9 +307,10 @@ void ParamStore::clipGradNorm(float max_norm) {
   const float norm = gradNorm();
   if (norm <= max_norm || norm == 0.0f) return;
   const float scale = max_norm / norm;
-  for (auto& p : params_)
-    for (std::size_t i = 0; i < p->grad().size(); ++i)
-      p->grad().at(i) *= scale;
+  for (auto& p : params_) {
+    Matrix& grad = p->grad();
+    for (std::size_t i = 0; i < grad.size(); ++i) grad.at(i) *= scale;
+  }
 }
 
 }  // namespace netsyn::nn

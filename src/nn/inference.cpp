@@ -8,11 +8,6 @@
 namespace netsyn::nn {
 namespace {
 
-inline float sigmoidf(float x) {
-  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                   : std::exp(x) / (1.0f + std::exp(x));
-}
-
 /// z += x * W for row-major W (in x out).
 inline void addVecMat(const float* x, std::size_t in, const Matrix& w,
                       float* z) {
@@ -96,10 +91,10 @@ void lstmStepFast(const Lstm& lstm, const float* x, float* h, float* c,
   addVecMat(h, hd, lstm.weightH(), z);
   // Gate layout [i | f | g | o], as in Lstm::step.
   for (std::size_t j = 0; j < hd; ++j) {
-    const float ig = sigmoidf(z[j]);
-    const float fg = sigmoidf(z[hd + j]);
+    const float ig = sigmoid(z[j]);
+    const float fg = sigmoid(z[hd + j]);
     const float gg = std::tanh(z[2 * hd + j]);
-    const float og = sigmoidf(z[3 * hd + j]);
+    const float og = sigmoid(z[3 * hd + j]);
     c[j] = fg * c[j] + ig * gg;
     h[j] = og * std::tanh(c[j]);
   }
@@ -158,10 +153,10 @@ void lstmStepBatchFast(const Lstm& lstm, const float* x, std::size_t batch,
     float* hb = h + b * hd;
     float* cb = c + b * hd;
     for (std::size_t j = 0; j < hd; ++j) {
-      const float ig = sigmoidf(zb[j]);
-      const float fg = sigmoidf(zb[hd + j]);
+      const float ig = sigmoid(zb[j]);
+      const float fg = sigmoid(zb[hd + j]);
       const float gg = std::tanh(zb[2 * hd + j]);
-      const float og = sigmoidf(zb[3 * hd + j]);
+      const float og = sigmoid(zb[3 * hd + j]);
       cb[j] = fg * cb[j] + ig * gg;
       hb[j] = og * std::tanh(cb[j]);
     }

@@ -14,10 +14,12 @@ void Sgd::step() {
   const auto& params = store_.params();
   for (std::size_t k = 0; k < params.size(); ++k) {
     Matrix& vel = velocity_[k];
-    Node& p = *params[k];
-    for (std::size_t i = 0; i < p.value().size(); ++i) {
-      vel.at(i) = momentum_ * vel.at(i) + p.grad().at(i);
-      p.value().at(i) -= lr_ * vel.at(i);
+    Matrix& value = params[k]->value();
+    // grad() checks (and may allocate) the lazy buffer: fetch it once.
+    const Matrix& grad = params[k]->grad();
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      vel.at(i) = momentum_ * vel.at(i) + grad.at(i);
+      value.at(i) -= lr_ * vel.at(i);
     }
   }
 }
@@ -36,16 +38,17 @@ void Adam::step() {
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   const auto& params = store_.params();
   for (std::size_t k = 0; k < params.size(); ++k) {
-    Node& p = *params[k];
+    Matrix& value = params[k]->value();
+    const Matrix& grad = params[k]->grad();
     Matrix& m = m_[k];
     Matrix& v = v_[k];
-    for (std::size_t i = 0; i < p.value().size(); ++i) {
-      const float g = p.grad().at(i);
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      const float g = grad.at(i);
       m.at(i) = beta1_ * m.at(i) + (1.0f - beta1_) * g;
       v.at(i) = beta2_ * v.at(i) + (1.0f - beta2_) * g * g;
       const float mhat = m.at(i) / bc1;
       const float vhat = v.at(i) / bc2;
-      p.value().at(i) -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      value.at(i) -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
 }

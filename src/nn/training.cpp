@@ -7,11 +7,6 @@
 namespace netsyn::nn {
 namespace {
 
-inline float sigmoidf(float x) {
-  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                   : std::exp(x) / (1.0f + std::exp(x));
-}
-
 void transposeInto(const Matrix& w, Matrix& out) {
   if (out.rows() != w.cols() || out.cols() != w.rows())
     out = Matrix(w.cols(), w.rows());
@@ -110,10 +105,10 @@ void lstmForwardTrain(const Lstm& lstm, LstmTape& tape) {
       }
       float* zb = z + b * g4;
       for (std::size_t j = 0; j < hd; ++j) {
-        const float ig = sigmoidf(zb[j]);
-        const float fg = sigmoidf(zb[hd + j]);
+        const float ig = sigmoid(zb[j]);
+        const float fg = sigmoid(zb[hd + j]);
         const float gg = std::tanh(zb[2 * hd + j]);
-        const float og = sigmoidf(zb[3 * hd + j]);
+        const float og = sigmoid(zb[3 * hd + j]);
         zb[j] = ig;
         zb[hd + j] = fg;
         zb[2 * hd + j] = gg;
@@ -270,7 +265,7 @@ float bceWithLogitsRow(const float* logits, const float* targets,
     const float x = logits[i];
     const float t = targets[i];
     loss += std::max(x, 0.0f) - x * t + std::log1p(std::exp(-std::fabs(x)));
-    if (dlogits != nullptr) dlogits[i] = scale * inv * (sigmoidf(x) - t);
+    if (dlogits != nullptr) dlogits[i] = scale * inv * (sigmoid(x) - t);
   }
   return loss * inv;
 }
