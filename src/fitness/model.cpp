@@ -8,6 +8,7 @@
 #include "dsl/domain.hpp"
 #include "dsl/interpreter.hpp"
 #include "fitness/edit.hpp"
+#include "nn/activation.hpp"
 
 namespace netsyn::fitness {
 namespace {
@@ -231,7 +232,7 @@ void NnffModel::exampleVectorFast(const dsl::IOExample& example,
                            scratch_);
   const auto ioFeats = ioSummaryFeatures(example.inputs, example.output);
   nn::linearForwardFast(*ioFeatProj_, ioFeats.data(), hIoF.data());
-  for (std::size_t j = 0; j < h; ++j) hIoF[j] = std::tanh(hIoF[j]);
+  nn::tanh(hIoF.data(), hIoF.data(), h);
 
   std::vector<const float*> pieces = {hIn.data(), hOut.data(), hIoF.data()};
   std::vector<float> stepBuf;
@@ -272,7 +273,7 @@ void NnffModel::exampleVectorFast(const dsl::IOExample& example,
     g[3] = len == 0 ? 0.0f
                     : static_cast<float>(exactSteps) / static_cast<float>(len);
     nn::linearForwardFast(*featProj_, g, hFeat.data());
-    for (std::size_t j = 0; j < h; ++j) hFeat[j] = std::tanh(hFeat[j]);
+    nn::tanh(hFeat.data(), hFeat.data(), h);
     pieces.push_back(hProg.data());
     pieces.push_back(hMul.data());
     pieces.push_back(hFeat.data());
@@ -683,7 +684,7 @@ const NnffModel::SpecPrelude& NnffModel::specPrelude(const dsl::Spec& spec,
                                 p.hOut.data(), scratch_);
   nn::linearForwardBatchFast(*ioFeatProj_, ioFeatsAll.data(), m,
                              p.hIoF.data());
-  for (float& v : p.hIoF) v = std::tanh(v);
+  nn::tanh(p.hIoF.data(), p.hIoF.data(), p.hIoF.size());
 
   // The first three combiner pieces are spec-level, so both combiner LSTMs
   // advance through them here, once per example on a single row. Layer 2
@@ -885,7 +886,7 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
                                       static_cast<float>(len);
       }
       nn::linearForwardBatchFast(*featProj_, g.data(), batch, hFeat.data());
-      for (float& v : hFeat) v = std::tanh(v);
+      nn::tanh(hFeat.data(), hFeat.data(), hFeat.size());
     }
 
     // Stacked combiners: every gene starts from the prelude's states after

@@ -7,6 +7,7 @@
 #include "dsl/interpreter.hpp"
 #include "fitness/edit.hpp"
 #include "fitness/model.hpp"
+#include "nn/activation.hpp"
 #include "nn/training.hpp"
 
 namespace netsyn::fitness {
@@ -97,7 +98,7 @@ const std::vector<float>& NnffModel::trainForward(
   tp.hIoF.resize(R * h);
   nn::linearForwardBatchFast(*ioFeatProj_, tp.ioFeats.data(), R,
                              tp.hIoF.data());
-  for (float& v : tp.hIoF) v = std::tanh(v);
+  nn::tanh(tp.hIoF.data(), tp.hIoF.data(), tp.hIoF.size());
 
   // Combiner pieces: [hIn, hOut, hIoF] plus [hProg, hOut * hProg, hFeat]
   // with the program branch, written straight into combine1's inputs.
@@ -177,7 +178,7 @@ const std::vector<float>& NnffModel::trainForward(
     for (std::size_t k = 0; k < R * h; ++k) hMul[k] = hOut[k] * hProg[k];
     tp.hFeat.resize(R * h);
     nn::linearForwardBatchFast(*featProj_, tp.gfeat.data(), R, tp.hFeat.data());
-    for (float& v : tp.hFeat) v = std::tanh(v);
+    nn::tanh(tp.hFeat.data(), tp.hFeat.data(), tp.hFeat.size());
     copyRows(tp.hFeat.data(), R * h, tp.comb1.input(5));
   }
 

@@ -23,8 +23,9 @@ class PrefixStateMemo {
   /// a few times over, and older ones are recomputed at worst.
   static constexpr std::size_t kCapacity = 1024;
 
-  /// Arena and table are allocated by the first insert, so a model that
-  /// never scores through this LSTM pays nothing.
+  /// The table is allocated by the first insert, so a model that never
+  /// scores through this LSTM pays nothing; the arena grows with the
+  /// number of stored states, up to kCapacity of them.
   explicit PrefixStateMemo(std::size_t hidden) : hidden_(hidden) {}
 
   /// [h | c] (2 * hidden floats) stored under `key`, or nullptr. The
@@ -40,14 +41,16 @@ class PrefixStateMemo {
 
   /// Stores [h | c] under `key`; a full memo is cleared first.
   void insert(std::uint64_t key, const float* h, const float* c) {
-    if (arena_.empty()) {
-      arena_.resize(kCapacity * 2 * hidden_);
-      table_.resize(kTableSize);
-    }
+    if (table_.empty()) table_.resize(kTableSize);
     if (count_ >= capacity_) clear();
     std::size_t i = home(key);
     while (table_[i].slot != 0 && table_[i].key != key) i = (i + 1) & kMask;
-    if (table_[i].slot == 0) table_[i] = {key, ++count_};
+    if (table_[i].slot == 0) {
+      table_[i] = {key, ++count_};
+      // After a clear the arena keeps its size and slots are reused.
+      if (arena_.size() < count_ * 2 * hidden_)
+        arena_.resize(count_ * 2 * hidden_);
+    }
     float* dst = arena_.data() + (table_[i].slot - 1) * 2 * hidden_;
     std::copy(h, h + hidden_, dst);
     std::copy(c, c + hidden_, dst + hidden_);

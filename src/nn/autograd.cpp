@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "nn/activation.hpp"
+
 namespace netsyn::nn {
 
 Var constant(Matrix value) {
@@ -104,7 +106,7 @@ Var matmul(const Var& a, const Var& b) {
 
 Var tanhOp(const Var& a) {
   Matrix out = a->value();
-  for (std::size_t i = 0; i < out.size(); ++i) out.at(i) = std::tanh(out.at(i));
+  tanh(out.data(), out.data(), out.size());
   return makeNode(std::move(out), {a}, [a](Node& n) {
     for (std::size_t i = 0; i < n.grad().size(); ++i) {
       const float y = n.value().at(i);
@@ -115,7 +117,7 @@ Var tanhOp(const Var& a) {
 
 Var sigmoidOp(const Var& a) {
   Matrix out = a->value();
-  for (std::size_t i = 0; i < out.size(); ++i) out.at(i) = sigmoid(out.at(i));
+  sigmoid(out.data(), out.data(), out.size());
   return makeNode(std::move(out), {a}, [a](Node& n) {
     for (std::size_t i = 0; i < n.grad().size(); ++i) {
       const float y = n.value().at(i);

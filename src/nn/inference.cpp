@@ -1,9 +1,10 @@
 #include "nn/inference.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <vector>
+
+#include "nn/activation.hpp"
 
 namespace netsyn::nn {
 namespace {
@@ -80,6 +81,21 @@ void addVecMatBatch(const float* x, std::size_t xStride, std::size_t batch,
     addVecMat(x + idx[k] * xStride, in, w, z + idx[k] * zStride);
 }
 
+void lstmCellUpdate(float* z, const float* cPrev, float* c, float* tanhC,
+                    float* h, std::size_t hd) {
+  // Gate layout [i | f | g | o], as in Lstm::step.
+  sigmoid(z, z, 2 * hd);
+  tanh(z + 2 * hd, z + 2 * hd, hd);
+  sigmoid(z + 3 * hd, z + 3 * hd, hd);
+  const float* ig = z;
+  const float* fg = z + hd;
+  const float* gg = z + 2 * hd;
+  const float* og = z + 3 * hd;
+  for (std::size_t j = 0; j < hd; ++j) c[j] = fg[j] * cPrev[j] + ig[j] * gg[j];
+  tanh(c, tanhC, hd);
+  for (std::size_t j = 0; j < hd; ++j) h[j] = og[j] * tanhC[j];
+}
+
 void lstmStepFast(const Lstm& lstm, const float* x, float* h, float* c,
                   InferenceScratch& scratch) {
   const std::size_t hd = lstm.hiddenDim();
@@ -89,15 +105,7 @@ void lstmStepFast(const Lstm& lstm, const float* x, float* h, float* c,
   std::memcpy(z, lstm.biasRaw().data(), g4 * sizeof(float));
   addVecMat(x, lstm.inDim(), lstm.weightX(), z);
   addVecMat(h, hd, lstm.weightH(), z);
-  // Gate layout [i | f | g | o], as in Lstm::step.
-  for (std::size_t j = 0; j < hd; ++j) {
-    const float ig = sigmoid(z[j]);
-    const float fg = sigmoid(z[hd + j]);
-    const float gg = std::tanh(z[2 * hd + j]);
-    const float og = sigmoid(z[3 * hd + j]);
-    c[j] = fg * c[j] + ig * gg;
-    h[j] = og * std::tanh(c[j]);
-  }
+  lstmCellUpdate(z, c, c, h, h, hd);
 }
 
 void lstmEncodeTokensFast(const Lstm& lstm, const Embedding& embedding,
@@ -149,17 +157,9 @@ void lstmStepBatchFast(const Lstm& lstm, const float* x, std::size_t batch,
   addVecMatBatch(h, hd, batch, hd, lstm.weightH(), z, g4, active);
   for (std::size_t b = 0; b < batch; ++b) {
     if (active != nullptr && active[b] == 0) continue;
-    float* zb = z + b * g4;
-    float* hb = h + b * hd;
     float* cb = c + b * hd;
-    for (std::size_t j = 0; j < hd; ++j) {
-      const float ig = sigmoid(zb[j]);
-      const float fg = sigmoid(zb[hd + j]);
-      const float gg = std::tanh(zb[2 * hd + j]);
-      const float og = sigmoid(zb[3 * hd + j]);
-      cb[j] = fg * cb[j] + ig * gg;
-      hb[j] = og * std::tanh(cb[j]);
-    }
+    float* hb = h + b * hd;
+    lstmCellUpdate(z + b * g4, cb, cb, hb, hb, hd);
   }
 }
 

@@ -44,6 +44,13 @@ struct InferenceScratch {
   }
 };
 
+/// The cell update every LSTM engine shares, on one row: activates the
+/// gate pre-activations z = [i | f | g | o] (4 * hd floats) in place, then
+/// c := f * cPrev + i * g, tanhC := tanh(c) and h := o * tanhC. cPrev may
+/// alias c, and tanhC may alias h.
+void lstmCellUpdate(float* z, const float* cPrev, float* c, float* tanhC,
+                    float* h, std::size_t hd);
+
 /// h,c := one LSTM step on input x (length = lstm.inDim()).
 /// h and c must have length lstm.hiddenDim() and carry the previous state.
 void lstmStepFast(const Lstm& lstm, const float* x, float* h, float* c,

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -95,15 +94,5 @@ void addABTranspose(Matrix& c, const Matrix& a, const Matrix& b);
 
 /// Numerically stable softmax of a 1 x n row vector.
 Matrix softmaxValue(const Matrix& logits);
-
-/// Logistic sigmoid, evaluated on the side where exp cannot overflow. The
-/// negative branch names exp(x) once: spelled exp(x) / (1 + exp(x)) it
-/// costs two libm calls, since -fmath-errno keeps GCC from merging them.
-/// Autograd, inference and fused training all use this one definition.
-inline float sigmoid(float x) {
-  if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
-  const float ex = std::exp(x);
-  return ex / (1.0f + ex);
-}
 
 }  // namespace netsyn::nn

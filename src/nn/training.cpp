@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "nn/activation.hpp"
+
 namespace netsyn::nn {
 namespace {
 
@@ -103,20 +105,7 @@ void lstmForwardTrain(const Lstm& lstm, LstmTape& tape) {
         std::memcpy(h + r, hPrev + r, hd * sizeof(float));
         continue;
       }
-      float* zb = z + b * g4;
-      for (std::size_t j = 0; j < hd; ++j) {
-        const float ig = sigmoid(zb[j]);
-        const float fg = sigmoid(zb[hd + j]);
-        const float gg = std::tanh(zb[2 * hd + j]);
-        const float og = sigmoid(zb[3 * hd + j]);
-        zb[j] = ig;
-        zb[hd + j] = fg;
-        zb[2 * hd + j] = gg;
-        zb[3 * hd + j] = og;
-        c[r + j] = fg * cPrev[r + j] + ig * gg;
-        tc[r + j] = std::tanh(c[r + j]);
-        h[r + j] = og * tc[r + j];
-      }
+      lstmCellUpdate(z + b * g4, cPrev + r, c + r, tc + r, h + r, hd);
     }
   }
 }
